@@ -1,11 +1,9 @@
 //! **A7** — linear-solver comparison on a package-like FIT matrix:
-//! CG (no preconditioner) vs Jacobi vs IC(0) vs SSOR.
+//! CG (no preconditioner) vs Jacobi vs IC(0).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use etherm_grid::{operators, Axis, Grid3};
-use etherm_numerics::solvers::{
-    cg, pcg, CgOptions, IncompleteCholesky, JacobiPrecond, Ssor,
-};
+use etherm_numerics::solvers::{cg, pcg, CgOptions, IncompleteCholesky, JacobiPrecond};
 use etherm_numerics::sparse::Csr;
 use std::hint::black_box;
 
@@ -60,14 +58,6 @@ fn bench_solvers(c: &mut Criterion) {
     group.bench_function("pcg + ic0 (incl. factorization)", |bch| {
         bch.iter(|| {
             let p = IncompleteCholesky::new(&k).unwrap();
-            let mut x = vec![0.0; k.n_rows()];
-            let r = pcg(&k, &b, &mut x, &p, &opts).unwrap();
-            black_box((r.iterations, x[0]));
-        })
-    });
-    group.bench_function("pcg + ssor(1.2)", |bch| {
-        let p = Ssor::new(&k, 1.2).unwrap();
-        bch.iter(|| {
             let mut x = vec![0.0; k.n_rows()];
             let r = pcg(&k, &b, &mut x, &p, &opts).unwrap();
             black_box((r.iterations, x[0]));

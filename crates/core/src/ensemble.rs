@@ -18,7 +18,7 @@ use crate::compiled::CompiledModel;
 use crate::error::CoreError;
 use crate::session::{Session, SolveCounters};
 use crate::solution::TransientSolution;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -87,9 +87,10 @@ pub trait BatchScenario: Scenario {
 /// What [`run_ensemble`] does when a sample fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FailurePolicy {
-    /// Abort the run on the first failure: the lowest-index error is
-    /// reported (wrapped in [`CoreError::EnsembleFailed`]) and the other
-    /// workers stop at their next sample boundary.
+    /// Abort the run on a failure: the lowest-index error is reported
+    /// (wrapped in [`CoreError::EnsembleFailed`]). Workers skip samples
+    /// above the lowest failure seen so far but still run the ones below
+    /// it.
     #[default]
     Abort,
     /// Quarantine failed samples and keep going: their errors are collected
@@ -165,8 +166,9 @@ pub struct EnsembleResult {
 ///
 /// Under [`FailurePolicy::Abort`] (the default), any sample failure aborts
 /// the run with [`CoreError::EnsembleFailed`] wrapping the error of the
-/// failing sample with the smallest index; other workers stop at their next
-/// sample boundary and the abandoned count is reported in the error. Under
+/// failing sample with the smallest index: every sample below it is still
+/// evaluated, while samples above the lowest failure seen so far are
+/// skipped and reported as the abandoned count in the error. Under
 /// [`FailurePolicy::Quarantine`] failures up to `max_failures` are
 /// collected in [`EnsembleResult::failures`] instead — the failing worker
 /// resets its session (clearing any NaN contamination) and continues with
@@ -196,12 +198,16 @@ pub fn run_ensemble<S: Scenario>(
         FailurePolicy::Abort => 0,
         FailurePolicy::Quarantine { max_failures } => max_failures,
     };
-    // Cooperative cancellation: raised by a failing worker (abort policy)
-    // or by the coordinator (quarantine overflow); workers check it at each
-    // sample boundary. Never raised while a quarantine run stays within its
-    // failure tolerance, so such runs attempt every sample — the property
-    // that makes their outcome independent of the thread count.
-    let cancel = AtomicBool::new(false);
+    // Cooperative cancellation: workers skip every sample at or above the
+    // cutoff. A failing worker lowers it to its own sample index (abort
+    // policy), so samples below a failure still run and the lowest failing
+    // index is always found; the coordinator drops it to 0 on quarantine
+    // overflow, stopping everyone. Never lowered while a quarantine run
+    // stays within its failure tolerance, so such runs attempt every sample
+    // — the property that makes their outcome independent of the thread
+    // count. Relaxed suffices: the cutoff only skips work and publishes no
+    // data; results and errors travel through the channel.
+    let cutoff = AtomicUsize::new(usize::MAX);
 
     type Message = (usize, Result<Vec<f64>, CoreError>);
     let (tx, rx) = mpsc::channel::<Message>();
@@ -209,15 +215,15 @@ pub fn run_ensemble<S: Scenario>(
         let mut handles = Vec::new();
         for (c, block) in samples.chunks(chunk).enumerate() {
             let tx = tx.clone();
-            let cancel = &cancel;
+            let cutoff = &cutoff;
             handles.push(scope.spawn(move || {
                 let mut session = Session::new(Arc::clone(compiled));
                 session.set_warm_start(options.warm_start);
                 for (k, sample) in block.iter().enumerate() {
-                    if cancel.load(Ordering::Relaxed) {
+                    let i = c * chunk + k;
+                    if i >= cutoff.load(Ordering::Relaxed) {
                         break;
                     }
-                    let i = c * chunk + k;
                     if !options.warm_start {
                         session.reset();
                     }
@@ -227,7 +233,7 @@ pub fn run_ensemble<S: Scenario>(
                     let failed = result.is_err();
                     if failed {
                         if max_failures == 0 {
-                            cancel.store(true, Ordering::Relaxed);
+                            cutoff.fetch_min(i, Ordering::Relaxed);
                         } else {
                             // Quarantine: scrub any solver-state
                             // contamination (NaN-poisoned guesses, degraded
@@ -259,8 +265,8 @@ pub fn run_ensemble<S: Scenario>(
                         sample: i,
                         error: e,
                     });
-                    if failures.len() > max_failures {
-                        cancel.store(true, Ordering::Relaxed);
+                    if max_failures > 0 && failures.len() > max_failures {
+                        cutoff.store(0, Ordering::Relaxed);
                     }
                     Vec::new()
                 }
@@ -368,7 +374,8 @@ pub fn run_ensemble_batched<S: BatchScenario>(
         FailurePolicy::Abort => 0,
         FailurePolicy::Quarantine { max_failures } => max_failures,
     };
-    let cancel = AtomicBool::new(false);
+    // Group-index cutoff, as in `run_ensemble`.
+    let cutoff = AtomicUsize::new(usize::MAX);
 
     type Message = (usize, Result<Vec<Vec<f64>>, CoreError>);
     let (tx, rx) = mpsc::channel::<Message>();
@@ -376,14 +383,14 @@ pub fn run_ensemble_batched<S: BatchScenario>(
         let mut handles = Vec::new();
         for (c, block) in groups.chunks(gchunk).enumerate() {
             let tx = tx.clone();
-            let cancel = &cancel;
+            let cutoff = &cutoff;
             handles.push(scope.spawn(move || {
                 let mut batch = BatchSession::new(compiled, width);
                 for (gk, group) in block.iter().enumerate() {
-                    if cancel.load(Ordering::Relaxed) {
+                    let g = c * gchunk + gk;
+                    if g >= cutoff.load(Ordering::Relaxed) {
                         break;
                     }
-                    let g = c * gchunk + gk;
                     batch.reset();
                     let k = group.len();
                     let result: Result<Vec<Vec<f64>>, CoreError> = (|| {
@@ -401,7 +408,7 @@ pub fn run_ensemble_batched<S: BatchScenario>(
                     let failed = result.is_err();
                     if failed {
                         if max_failures == 0 {
-                            cancel.store(true, Ordering::Relaxed);
+                            cutoff.fetch_min(g, Ordering::Relaxed);
                         } else {
                             // Quarantine: scrub the whole group's state.
                             batch.reset();
@@ -436,8 +443,8 @@ pub fn run_ensemble_batched<S: BatchScenario>(
                         });
                         slots[base + j] = Some(Vec::new());
                     }
-                    if failures.len() > max_failures {
-                        cancel.store(true, Ordering::Relaxed);
+                    if max_failures > 0 && failures.len() > max_failures {
+                        cutoff.store(0, Ordering::Relaxed);
                     }
                 }
             }
@@ -887,6 +894,33 @@ mod tests {
             .unwrap();
             assert_eq!(par.outputs, serial.outputs, "threads = {threads}");
             assert_eq!(par.counters, serial.counters, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn batched_first_error_by_group_index_wins() {
+        // Width 2 on 3 threads: worker 0 owns groups 0 and 1, worker 1
+        // groups 2 and 3. Group 2 fails at once while group 1 fails only
+        // after worker 0 has run group 0, yet group 1's error must win.
+        let compiled = Arc::new(
+            CompiledModel::compile(wire_model(), pinned_options(2)).unwrap(),
+        );
+        let err = run_ensemble_batched(
+            &compiled,
+            &FailAt(&[2, 4]),
+            &samples(),
+            &EnsembleOptions {
+                n_threads: 3,
+                ..EnsembleOptions::default()
+            },
+        )
+        .unwrap_err();
+        match err {
+            CoreError::EnsembleFailed { sample, source, .. } => {
+                assert_eq!(sample, 2);
+                assert!(source.to_string().contains("planned failure 2"), "{source}");
+            }
+            other => panic!("expected EnsembleFailed, got {other}"),
         }
     }
 

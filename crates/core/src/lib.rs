@@ -64,6 +64,9 @@ pub use ensemble::{
 pub use error::CoreError;
 pub use evaluator::{FullSolve, QoiEvaluator};
 pub use etherm_numerics::solvers::{Fault, FaultKind, FaultPlan};
+/// The shared SplitMix64 generator, re-exported so crates built on the core
+/// seed their streams from the same implementation.
+pub use etherm_numerics::splitmix;
 pub use layout::DofLayout;
 pub use model::{ElectrothermalModel, WireAttachment};
 pub use observer::{

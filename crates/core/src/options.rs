@@ -26,8 +26,6 @@ pub enum PrecondKind {
     /// cuts CG iterations substantially — worthwhile now that factorizations
     /// are cached and refreshed lazily instead of rebuilt every solve.
     Ic(usize),
-    /// Symmetric SOR with the given relaxation factor.
-    Ssor(f64),
     /// Smoothed-aggregation algebraic multigrid V-cycle: near-mesh-
     /// independent CG iteration counts at a higher per-iteration cost —
     /// the preconditioner of choice once the FIT grid is refined past the
@@ -61,7 +59,6 @@ impl PrecondKind {
             PrecondKind::None => "none".into(),
             PrecondKind::Jacobi => "jacobi".into(),
             PrecondKind::Ic(level) => format!("ic({level})"),
-            PrecondKind::Ssor(omega) => format!("ssor({omega})"),
             PrecondKind::Amg { theta, omega } => format!("amg(theta={theta},omega={omega})"),
         }
     }
@@ -301,7 +298,6 @@ mod tests {
         assert_eq!(PrecondKind::None.describe(), "none");
         assert_eq!(PrecondKind::Jacobi.describe(), "jacobi");
         assert_eq!(PrecondKind::Ic(1).describe(), "ic(1)");
-        assert_eq!(PrecondKind::Ssor(1.2).describe(), "ssor(1.2)");
         assert_eq!(
             PrecondKind::amg().describe(),
             "amg(theta=0.08,omega=1)"

@@ -36,7 +36,7 @@ use etherm_fit::CachedStamper;
 use etherm_numerics::solvers::{
     pcg_with, AmgOptions, AmgPrecond, AmgSmoother, CgOptions, FaultInjector, FaultPlan,
     FaultyLinOp, IdentityPrecond, IncompleteCholesky, JacobiPrecond, KrylovWorkspace,
-    Preconditioner, SolveReport, Ssor,
+    Preconditioner, SolveReport,
 };
 use etherm_numerics::sparse::{Csr, ParSpmv};
 use etherm_numerics::{vector, MultiVec, NumericsError};
@@ -50,7 +50,6 @@ pub(crate) enum CachedPrecond {
     Identity(IdentityPrecond),
     Jacobi(JacobiPrecond),
     Ic(IncompleteCholesky),
-    Ssor(Ssor),
     Amg(Box<AmgPrecond>),
 }
 
@@ -70,7 +69,6 @@ impl CachedPrecond {
                 level,
                 options.precond_droptol,
             )?),
-            PrecondKind::Ssor(omega) => CachedPrecond::Ssor(Ssor::new(a, omega)?),
             PrecondKind::Amg { theta, omega } => CachedPrecond::Amg(Box::new(AmgPrecond::new(
                 a,
                 AmgOptions {
@@ -88,7 +86,6 @@ impl CachedPrecond {
             CachedPrecond::Identity(_) => Ok(()),
             CachedPrecond::Jacobi(p) => p.refresh(a),
             CachedPrecond::Ic(p) => p.refresh(a),
-            CachedPrecond::Ssor(p) => p.refresh(a),
             CachedPrecond::Amg(p) => p.refresh(a),
         }
     }
@@ -108,7 +105,6 @@ impl Preconditioner for CachedPrecond {
             CachedPrecond::Identity(p) => p.dim(),
             CachedPrecond::Jacobi(p) => p.dim(),
             CachedPrecond::Ic(p) => p.dim(),
-            CachedPrecond::Ssor(p) => p.dim(),
             CachedPrecond::Amg(p) => p.dim(),
         }
     }
@@ -118,7 +114,6 @@ impl Preconditioner for CachedPrecond {
             CachedPrecond::Identity(p) => p.apply(r, z),
             CachedPrecond::Jacobi(p) => p.apply(r, z),
             CachedPrecond::Ic(p) => p.apply(r, z),
-            CachedPrecond::Ssor(p) => p.apply(r, z),
             CachedPrecond::Amg(p) => p.apply(r, z),
         }
     }
@@ -130,7 +125,6 @@ impl Preconditioner for CachedPrecond {
             CachedPrecond::Identity(p) => p.apply_block(r, z),
             CachedPrecond::Jacobi(p) => p.apply_block(r, z),
             CachedPrecond::Ic(p) => p.apply_block(r, z),
-            CachedPrecond::Ssor(p) => p.apply_block(r, z),
             CachedPrecond::Amg(p) => p.apply_block(r, z),
         }
     }
@@ -178,7 +172,7 @@ impl SubsystemCache {
 fn next_fallback(kind: PrecondKind) -> Option<PrecondKind> {
     match kind {
         PrecondKind::Amg { .. } => Some(PrecondKind::Ic(1)),
-        PrecondKind::Ic(_) | PrecondKind::Ssor(_) => Some(PrecondKind::Jacobi),
+        PrecondKind::Ic(_) => Some(PrecondKind::Jacobi),
         PrecondKind::Jacobi | PrecondKind::None => None,
     }
 }

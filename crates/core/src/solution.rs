@@ -54,6 +54,15 @@ impl TransientSolution {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
+    /// Peak wire temperature over the whole run: the maximum over all
+    /// times of [`TransientSolution::max_wire_temperature_at`]
+    /// (`-∞` for a run without time points).
+    pub fn peak_wire_temperature(&self) -> f64 {
+        (0..self.n_times())
+            .map(|i| self.max_wire_temperature_at(i))
+            .fold(f64::NEG_INFINITY, |peak, t| if t > peak { t } else { peak })
+    }
+
     /// Index and final temperature of the hottest wire (at the last time).
     ///
     /// Returns `None` when the model has no wires.
@@ -108,6 +117,7 @@ mod tests {
         assert_eq!(s.wire_series(1)[1], 320.0);
         assert_eq!(s.max_wire_temperature_at(1), 320.0);
         assert_eq!(s.max_wire_series(), vec![300.0, 320.0, 315.0]);
+        assert_eq!(s.peak_wire_temperature(), 320.0);
         // Hottest at final time is wire 0 (315 > 312).
         assert_eq!(s.hottest_wire(), Some((0, 315.0)));
         assert_eq!(s.snapshot_near(1.7).unwrap().0, 2.0);

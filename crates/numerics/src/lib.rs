@@ -1,4 +1,4 @@
-//! Dense and sparse linear algebra plus linear/nonlinear solver kernels for the
+//! Dense and sparse linear algebra plus linear solver kernels for the
 //! `etherm` electrothermal simulator.
 //!
 //! The Rust PDE/FEM ecosystem offers no lightweight, dependency-free sparse
@@ -9,10 +9,11 @@
 //! * [`sparse`] — COO assembly and CSR storage with matrix-vector kernels,
 //! * [`multivec`] — column-major `n × k` panels and fused multi-RHS kernels
 //!   for the batched (block) Krylov path,
-//! * [`solvers`] — CG/PCG (Jacobi, IC(0), SSOR preconditioners), BiCGStab,
-//!   and a Thomas tridiagonal solver,
-//! * [`fixedpoint`] — a damped fixed-point (Picard) driver used by the
-//!   nonlinear electrothermal coupling.
+//! * [`solvers`] — scalar and block PCG (Jacobi, IC(k) and AMG
+//!   preconditioners), deterministic fault injection, and a Thomas
+//!   tridiagonal solver,
+//! * [`splitmix`] — the SplitMix64 finalizer and stream behind every
+//!   seeded draw outside `rand`.
 //!
 //! # Example
 //!
@@ -44,12 +45,12 @@
 
 pub mod dense;
 pub mod error;
-pub mod fixedpoint;
 pub mod interp;
 pub mod multivec;
 pub mod quadrature;
 pub mod solvers;
 pub mod sparse;
+pub mod splitmix;
 pub mod vector;
 
 pub use error::NumericsError;

@@ -18,6 +18,7 @@
 //! the wrapper is never constructed, so the clean path pays nothing.
 
 use crate::sparse::LinOp;
+use crate::splitmix::SplitMix64;
 use std::cell::Cell;
 
 /// What a triggered fault does to the operator output.
@@ -87,15 +88,7 @@ impl FaultPlan {
     /// drawn from a SplitMix64 stream. Identical seeds give identical
     /// plans on every platform.
     pub fn seeded(seed: u64, n_faults: usize, max_solve: usize, max_apply: usize) -> Self {
-        let mut state = seed;
-        let mut next = move || {
-            // SplitMix64: the standard 64-bit finalizer-based generator.
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut rng = SplitMix64::new(seed);
         let kinds = [
             FaultKind::Nan,
             FaultKind::Inf,
@@ -105,9 +98,9 @@ impl FaultPlan {
         ];
         let faults = (0..n_faults)
             .map(|_| Fault {
-                solve: (next() % max_solve.max(1) as u64) as usize,
-                apply: (next() % max_apply.max(1) as u64) as usize,
-                kind: kinds[(next() % kinds.len() as u64) as usize],
+                solve: (rng.next_u64() % max_solve.max(1) as u64) as usize,
+                apply: (rng.next_u64() % max_apply.max(1) as u64) as usize,
+                kind: kinds[(rng.next_u64() % kinds.len() as u64) as usize],
             })
             .collect();
         FaultPlan::new(faults)
@@ -342,6 +335,23 @@ mod tests {
         assert_ne!(p1, p3);
         assert_eq!(p1.faults.len(), 8);
         assert!(p1.faults.iter().all(|f| f.solve < 100 && f.apply < 10));
+    }
+
+    #[test]
+    fn seeded_plan_is_pinned() {
+        // Literal values captured from the SplitMix64 stream: recovery and
+        // quarantine tests replay these plans, so they must never drift.
+        let plan = FaultPlan::seeded(42, 4, 100, 10);
+        let fault = |solve, apply, kind| Fault { solve, apply, kind };
+        assert_eq!(
+            plan.faults,
+            [
+                fault(13, 1, FaultKind::Stall),
+                fault(64, 0, FaultKind::Breakdown),
+                fault(25, 8, FaultKind::Nan),
+                fault(74, 7, FaultKind::Inf),
+            ]
+        );
     }
 
     #[test]

@@ -275,10 +275,7 @@ fn fusing_current_search_brackets_and_cross_checks_with_analytic_rules() {
         session.set_drive_scale(scale).unwrap();
         session.reset();
         let sol = session.run_transient(2.0, 4, &[]).unwrap();
-        sol.max_wire_series()
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max)
+        sol.peak_wire_temperature()
     };
     assert!(peak_at(&mut session, critical.scale) < 360.0);
     assert!(peak_at(&mut session, critical.bracket.1 * 1.05) >= 360.0);

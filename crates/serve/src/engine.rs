@@ -37,6 +37,7 @@ use etherm_core::{
     CompiledModel, CoreError, ObserverAction, QoiEvaluator, RecoveryLedger, Session, StepObserver,
     StepRecord,
 };
+use etherm_numerics::splitmix::SplitMix64;
 use etherm_reliability::{ReliabilityError, SurrogateWithFallback};
 use etherm_uq::{Distribution, Surrogate};
 use std::collections::{BTreeMap, VecDeque};
@@ -726,18 +727,6 @@ impl StepObserver for RunObserver<'_> {
     }
 }
 
-/// The peak representative wire temperature over a run.
-fn peak_of(sol: &etherm_core::TransientSolution) -> f64 {
-    let mut peak = f64::NEG_INFINITY;
-    for i in 0..sol.n_times() {
-        let t = sol.max_wire_temperature_at(i);
-        if t > peak {
-            peak = t;
-        }
-    }
-    peak
-}
-
 /// `CoreError` for a cancelled run — never surfaces (the cancel flag is
 /// re-checked before the terminal frame), but keeps signatures uniform.
 fn interrupted() -> CoreError {
@@ -767,9 +756,7 @@ fn apply_seeded_lengths(
     seed: u64,
     spread: f64,
 ) -> Result<(), CoreError> {
-    let mut stream = seed;
-    for (j, &length) in nominal.iter().enumerate() {
-        let u = unit_symmetric(&mut stream);
+    for ((j, &length), u) in nominal.iter().enumerate().zip(seeded_units(seed)) {
         session.set_wire_length(j, length * (1.0 + spread * u))?;
     }
     Ok(())
@@ -818,7 +805,7 @@ fn run_wire_sizing(
             .fold(f64::NEG_INFINITY, |a, &b| a.max(b));
         qoi.push(peak);
     }
-    qoi.push(peak_of(&sol));
+    qoi.push(sol.peak_wire_temperature());
     Ok(JobOutput {
         qoi,
         served_by: "full",
@@ -855,7 +842,7 @@ fn run_fusing(shared: &Shared, job: &Job, session: &mut Session) -> Result<JobOu
             done: evals.min(total_evals - 1),
             total: total_evals,
         });
-        Ok(peak_of(&observed.solution))
+        Ok(observed.solution.peak_wire_temperature())
     };
     // Exponential bracket: double the drive until the threshold is
     // crossed (or give up at 128×).
@@ -924,7 +911,7 @@ fn run_campaign(job: &Job, session: &mut Session) -> Result<JobOutput, CoreError
         if job.cancel.load(Ordering::SeqCst) {
             return Err(interrupted());
         }
-        let peak = peak_of(&observed.solution);
+        let peak = observed.solution.peak_wire_temperature();
         mean += (peak - mean) / (s as f64 + 1.0);
         max = max.max(peak);
         min = min.min(peak);
@@ -1023,7 +1010,7 @@ fn run_qoi(job: &Job, session: &mut Session, state: &ModelState) -> Result<JobOu
         if job.cancel.load(Ordering::SeqCst) {
             return Err(interrupted());
         }
-        qoi.push(peak_of(&observed.solution));
+        qoi.push(observed.solution.peak_wire_temperature());
         let _ = job.tx.send(Response::Progress {
             id: job.id,
             done: (i + 1) as u64,
@@ -1040,29 +1027,18 @@ fn run_qoi(job: &Job, session: &mut Session, state: &ModelState) -> Result<JobOu
 }
 
 // ---------------------------------------------------------------------------
-// Seeded sampling (no RNG dependency: splitmix64, the canonical 64-bit
-// stream mixer)
+// Seeded sampling (no RNG dependency: the shared SplitMix64 stream)
 // ---------------------------------------------------------------------------
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// One draw in `[-1, 1)` from the stream.
-fn unit_symmetric(state: &mut u64) -> f64 {
-    let bits = splitmix64(state) >> 11; // 53 mantissa bits
-    let unit = bits as f64 / (1u64 << 53) as f64; // [0, 1)
-    2.0 * unit - 1.0
+/// The endless stream of `[-1, 1)` draws seeded by `seed`.
+fn seeded_units(seed: u64) -> impl Iterator<Item = f64> {
+    let mut stream = SplitMix64::new(seed);
+    std::iter::repeat_with(move || 2.0 * stream.next_f64() - 1.0)
 }
 
 /// Derives a per-sample substream seed.
 fn mix(seed: u64, index: u64) -> u64 {
-    let mut state = seed ^ index.wrapping_mul(0xa076_1d64_78bd_642f);
-    splitmix64(&mut state)
+    SplitMix64::new(seed ^ index.wrapping_mul(0xa076_1d64_78bd_642f)).next_u64()
 }
 
 // ---------------------------------------------------------------------------
@@ -1123,7 +1099,7 @@ impl QoiEvaluator for ServeFullSolve {
                 self.session.set_wire_length(j, length * (1.0 + delta))?;
             }
             let sol = self.session.run_transient(self.t_end, self.n_steps, &[])?;
-            outputs.push(vec![peak_of(&sol)]);
+            outputs.push(vec![sol.peak_wire_temperature()]);
             self.evaluated += 1;
         }
         Ok(outputs)
@@ -1139,5 +1115,37 @@ impl QoiEvaluator for ServeFullSolve {
 
     fn counters(&self) -> etherm_core::SolveCounters {
         self.session.counters()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sample_stream_is_pinned() {
+        // Literal values pin the per-sample seeds and the elongation draws:
+        // serve answers are keyed by request seed, so any change to the
+        // stream silently changes every stored result.
+        let seeds: Vec<u64> = (0..3).map(|s| mix(42, s)).collect();
+        assert_eq!(
+            seeds,
+            [13679457532755275413, 14216130040228855828, 14820483933399919426]
+        );
+        let units: Vec<u64> = seeded_units(seeds[1]).take(4).map(f64::to_bits).collect();
+        assert_eq!(
+            units,
+            [
+                13814772332675701536,
+                13824894077564231840,
+                13826330956784375348,
+                4603882209629782738
+            ]
+        );
+        let units: Vec<f64> = seeded_units(7).take(3).collect();
+        assert_eq!(
+            units,
+            [-0.22034050321745702, -0.9664234109436878, 0.8015213612137668]
+        );
     }
 }
