@@ -21,9 +21,10 @@
 //!   measured reference run (e.g. the pre-change seed) in the report
 //! - `--out PATH`: output path (default `BENCH_transient.json`)
 
-use etherm_bench::{arg_f64, arg_flag, arg_usize, arg_value, escape_json, timed_transient_run};
+use etherm_bench::{arg_f64, arg_flag, arg_usize, arg_value, timed_transient_run};
 use etherm_core::{PrecondKind, Simulator, SolverOptions};
 use etherm_package::{build_model, BuildOptions, PackageGeometry};
+use etherm_serve::json::Value;
 
 fn main() {
     let quick = arg_flag("quick");
@@ -115,10 +116,11 @@ fn main() {
     let mut runs = Vec::new();
     let seed_wall = arg_value("reference-wall-s").and_then(|v| v.parse::<f64>().ok());
     if let Some(w) = seed_wall {
-        let label = escape_json(
+        let label = Value::str(
             &arg_value("reference-label").unwrap_or_else(|| "seed (measured before this change)".into()),
-        );
-        runs.push(format!("    {{\"config\": \"{label}\", \"wall_s\": {w:.3}}}"));
+        )
+        .to_json();
+        runs.push(format!("    {{\"config\": {label}, \"wall_s\": {w:.3}}}"));
     }
     runs.push(rec_ref.to_json("    "));
     runs.push(rec_lazy.to_json("    "));

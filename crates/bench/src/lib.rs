@@ -9,6 +9,7 @@
 
 use etherm_core::{Simulator, SolveCounters, SolverOptions, TransientSolution};
 use etherm_package::{build_model, BuildOptions, BuiltPackage, PackageGeometry};
+use etherm_serve::json::Value;
 use etherm_uq::dist::Distribution;
 
 /// One benchmark run in the record schema shared by `BENCH_transient.json`
@@ -90,11 +91,11 @@ impl RunRecord {
     /// Renders the record as one JSON object, prefixed by `indent`.
     pub fn to_json(&self, indent: &str) -> String {
         format!(
-            "{indent}{{\"config\": \"{}\", \"precond\": \"{}\", \"wall_s\": {:.3}, \
+            "{indent}{{\"config\": {}, \"precond\": {}, \"wall_s\": {:.3}, \
              \"picard_iterations\": {}, \"cg_iterations\": {}, \"solves\": {}, \
              \"precond_rebuilds\": {}, \"precond_reuses\": {}, \"peak_coarse_dim\": {}}}",
-            escape_json(&self.config),
-            escape_json(&self.precond),
+            Value::str(&self.config).to_json(),
+            Value::str(&self.precond).to_json(),
             self.wall_s,
             self.picard_iterations,
             self.cg_iterations,
@@ -104,26 +105,6 @@ impl RunRecord {
             self.peak_coarse_dim,
         )
     }
-}
-
-/// Escapes backslashes, quotes and control characters for embedding in a
-/// JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Runs one timed transient (snapshot at `t_end`) and returns the
@@ -274,6 +255,18 @@ pub fn iid_inputs<D: Distribution>(dist: &D, n: usize) -> Vec<&dyn Distribution>
     (0..n).map(|_| dist as &dyn Distribution).collect()
 }
 
+/// Formats a float for a hand-written JSON report: `{:.6e}`, `null` for
+/// NaN and `±1e308` for ±∞, so the report stays valid JSON.
+pub fn json_f64(v: f64) -> String {
+    if v.is_nan() {
+        "null".into()
+    } else if v.is_infinite() {
+        if v > 0.0 { "1e308".into() } else { "-1e308".into() }
+    } else {
+        format!("{v:.6e}")
+    }
+}
+
 /// Formats a Kelvin value with one decimal.
 pub fn fmt_k(v: f64) -> String {
     format!("{v:.1} K")
@@ -329,8 +322,9 @@ mod tests {
 
     #[test]
     fn escape_json_handles_control_characters() {
-        assert_eq!(escape_json(r#"a\b"c"#), r#"a\\b\"c"#);
-        assert_eq!(escape_json("line1\nline2\tend\r"), "line1\\nline2\\tend\\r");
-        assert_eq!(escape_json("bell\u{7}"), "bell\\u0007");
+        let quoted = |s: &str| Value::str(s).to_json();
+        assert_eq!(quoted(r#"a\b"c"#), r#""a\\b\"c""#);
+        assert_eq!(quoted("line1\nline2\tend\r"), "\"line1\\nline2\\tend\\r\"");
+        assert_eq!(quoted("bell\u{7}"), "\"bell\\u0007\"");
     }
 }

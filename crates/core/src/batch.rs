@@ -29,7 +29,9 @@
 //!   the block thermal solves (the electrical solves keep them): a failing
 //!   thermal solve fails the whole group. Batched campaigns trade the
 //!   resilience layer for throughput; quarantine at the group level is
-//!   provided by the ensemble driver.
+//!   provided by the ensemble scheduler that [`crate::ensemble::run_ensemble`]
+//!   and [`crate::ensemble::run_ensemble_batched`] share, which treats a
+//!   group as one unit (see [`crate::ensemble`]).
 
 use crate::compiled::CompiledModel;
 use crate::error::CoreError;

@@ -1,17 +1,25 @@
 //! The ensemble engine: evaluate one compiled model for many parameter
-//! samples across worker threads, each with a long-lived [`Session`].
+//! samples across worker threads, each with a long-lived [`Session`] or
+//! [`BatchSession`].
 //!
 //! This is the execution layer of a UQ campaign (paper §IV): the model is
-//! compiled once, every worker thread owns one session, and the samples are
-//! split into contiguous index chunks — the same deterministic scheme as
-//! `etherm_uq::run_monte_carlo_parallel`, so outputs are merged in sample
-//! order and the result is independent of scheduling. In the default exact
-//! mode each sample starts from a [`Session::reset`], making the outputs
-//! *bit-identical* to a fresh simulator per sample (and therefore identical
-//! for any `n_threads`). Warm mode keeps sessions hot across the samples of
-//! a chunk: preconditioners are refreshed instead of rebuilt and the
-//! thermal CG solves warm-start from the previous sample's trajectory —
-//! faster, with QoIs equal within the inner solver tolerance.
+//! compiled once and both drivers, [`run_ensemble`] and
+//! [`run_ensemble_batched`], run on one scheduler. It forms *units* of
+//! `width` consecutive samples globally in sample order (one sample for the
+//! scalar driver, one panel for the batched one), gives every worker thread
+//! a contiguous run of `ceil(n_units / n_threads)` units, and merges the
+//! outputs in sample order, so the result is independent of scheduling.
+//! The scheduler alone owns the abort cutoff, the ordered merge with its
+//! progress frontier and the failure accounting; a failing unit fails (or
+//! quarantines) all its samples.
+//!
+//! In the default exact mode each scalar sample starts from a
+//! [`Session::reset`], making the outputs *bit-identical* to a fresh
+//! simulator per sample (and therefore identical for any `n_threads`). Warm
+//! mode keeps sessions hot across the samples of a chunk: preconditioners
+//! are refreshed instead of rebuilt and the thermal CG solves warm-start
+//! from the previous sample's trajectory — faster, with QoIs equal within
+//! the inner solver tolerance.
 
 use crate::batch::BatchSession;
 use crate::compiled::CompiledModel;
@@ -108,8 +116,9 @@ pub enum FailurePolicy {
 /// Options of [`run_ensemble`].
 #[derive(Debug, Clone, Copy)]
 pub struct EnsembleOptions {
-    /// Worker threads (each owns one [`Session`]); samples are split into
-    /// contiguous chunks of `ceil(n / n_threads)`.
+    /// Worker threads (each owns one [`Session`], or one [`BatchSession`]
+    /// under [`run_ensemble_batched`]); samples, or groups of samples when
+    /// batched, are split into contiguous chunks of `ceil(n / n_threads)`.
     pub n_threads: usize,
     /// Keep sessions warm across the samples of a chunk (see the module
     /// docs). Off by default: every sample is bit-identical to a fresh
@@ -184,68 +193,201 @@ pub fn run_ensemble<S: Scenario>(
     samples: &[Vec<f64>],
     options: &EnsembleOptions,
 ) -> Result<EnsembleResult, CoreError> {
-    assert!(options.n_threads > 0, "run_ensemble: need ≥ 1 thread");
-    let n = samples.len();
-    if n == 0 {
-        return Ok(EnsembleResult {
-            outputs: Vec::new(),
-            counters: SolveCounters::default(),
-            failures: Vec::new(),
+    let warm = options.warm_start;
+    schedule(samples, 1, options, || {
+        ScalarWorker::new(compiled, scenario, warm)
+    })
+}
+
+/// [`run_ensemble`] through the batched fast path: samples are grouped
+/// into panels of [`crate::SolverOptions::batch_width`] **globally in
+/// sample order**, each worker drives whole groups through a
+/// [`BatchSession`], and every group advances all its members per matrix
+/// traversal (see [`crate::BatchSession`]).
+///
+/// Grouping is independent of `options.n_threads` and nothing crosses
+/// group boundaries, so the outputs are bit-identical for any worker
+/// count. `options.warm_start` is ignored: every group starts from reset
+/// sessions (cross-sample reuse inside a group happens through the shared
+/// preconditioner instead). A `batch_width` of 0 or 1 runs the scalar
+/// per-sample path of [`run_ensemble`] in exact mode, whatever
+/// `options.warm_start` says, so its outputs and counters are those of
+/// `run_ensemble` with `warm_start: false`.
+///
+/// # Errors
+///
+/// Like [`run_ensemble`], with group granularity: a failing sample fails
+/// its whole group, and under [`FailurePolicy::Quarantine`] all members of
+/// the failing group are quarantined together.
+///
+/// # Panics
+///
+/// Panics if `options.n_threads == 0` or a worker thread panics.
+pub fn run_ensemble_batched<S: BatchScenario>(
+    compiled: &Arc<CompiledModel>,
+    scenario: &S,
+    samples: &[Vec<f64>],
+    options: &EnsembleOptions,
+) -> Result<EnsembleResult, CoreError> {
+    let width = compiled.options().batch_width;
+    if width <= 1 {
+        return schedule(samples, 1, options, || {
+            ScalarWorker::new(compiled, scenario, false)
         });
     }
-    let chunk = n.div_ceil(options.n_threads).max(1);
+    schedule(samples, width, options, || BatchWorker {
+        batch: BatchSession::new(compiled, width),
+        scenario,
+    })
+}
+
+/// A worker thread's solver state, driven unit by unit by [`schedule`].
+trait UnitWorker {
+    /// Evaluates one unit — consecutive samples starting at global index
+    /// `first` — and returns one QoI vector per sample. An error fails
+    /// every sample of the unit.
+    fn run_unit(&mut self, first: usize, unit: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, CoreError>;
+
+    /// Scrubs solver-state contamination (NaN-poisoned guesses, degraded
+    /// preconditioners) after a quarantined failure.
+    fn scrub(&mut self);
+
+    /// Solve counters accumulated over every unit this worker ran.
+    fn counters(&self) -> SolveCounters;
+}
+
+/// One [`Session`] evaluating single-sample units.
+struct ScalarWorker<'a, S> {
+    session: Session,
+    scenario: &'a S,
+    warm: bool,
+}
+
+impl<'a, S> ScalarWorker<'a, S> {
+    fn new(compiled: &Arc<CompiledModel>, scenario: &'a S, warm: bool) -> Self {
+        let mut session = Session::new(Arc::clone(compiled));
+        session.set_warm_start(warm);
+        ScalarWorker {
+            session,
+            scenario,
+            warm,
+        }
+    }
+}
+
+impl<S: Scenario> UnitWorker for ScalarWorker<'_, S> {
+    fn run_unit(&mut self, first: usize, unit: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, CoreError> {
+        let mut outputs = Vec::with_capacity(unit.len());
+        for (j, sample) in unit.iter().enumerate() {
+            if !self.warm {
+                self.session.reset();
+            }
+            self.scenario
+                .apply_indexed(&mut self.session, sample, first + j)?;
+            outputs.push(self.scenario.evaluate(&mut self.session)?);
+        }
+        Ok(outputs)
+    }
+
+    fn scrub(&mut self) {
+        self.session.reset();
+    }
+
+    fn counters(&self) -> SolveCounters {
+        self.session.counters()
+    }
+}
+
+/// One [`BatchSession`] evaluating a panel per unit in lock-step.
+struct BatchWorker<'a, S> {
+    batch: BatchSession,
+    scenario: &'a S,
+}
+
+impl<S: BatchScenario> UnitWorker for BatchWorker<'_, S> {
+    fn run_unit(&mut self, first: usize, unit: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, CoreError> {
+        self.batch.reset();
+        for (j, sample) in unit.iter().enumerate() {
+            self.scenario
+                .apply_indexed(&mut self.batch.sessions_mut()[j], sample, first + j)?;
+        }
+        let sols =
+            self.batch
+                .run_transient(unit.len(), self.scenario.t_end(), self.scenario.n_steps())?;
+        Ok(sols.iter().map(|s| self.scenario.qoi(s)).collect())
+    }
+
+    fn scrub(&mut self) {
+        self.batch.reset();
+    }
+
+    fn counters(&self) -> SolveCounters {
+        self.batch.counters()
+    }
+}
+
+/// The one ensemble scheduler: splits `samples` into units of `width`
+/// consecutive samples (globally, for any thread count), runs contiguous
+/// runs of `ceil(n_units / n_threads)` units on one worker thread each
+/// (each with its own worker from `new_worker`), and merges the outputs in
+/// sample order under `options.failure_policy`.
+fn schedule<W, F>(
+    samples: &[Vec<f64>],
+    width: usize,
+    options: &EnsembleOptions,
+    new_worker: F,
+) -> Result<EnsembleResult, CoreError>
+where
+    W: UnitWorker,
+    F: Fn() -> W + Sync,
+{
+    assert!(options.n_threads > 0, "ensemble: need ≥ 1 thread");
+    let n = samples.len();
+    let units_per_thread = n.div_ceil(width).div_ceil(options.n_threads).max(1);
     let max_failures = match options.failure_policy {
         FailurePolicy::Abort => 0,
         FailurePolicy::Quarantine { max_failures } => max_failures,
     };
-    // Cooperative cancellation: workers skip every sample at or above the
-    // cutoff. A failing worker lowers it to its own sample index (abort
-    // policy), so samples below a failure still run and the lowest failing
+    // Cooperative cancellation: workers skip every unit at or above the
+    // cutoff. A failing worker lowers it to its own unit index (abort
+    // policy), so units below a failure still run and the lowest failing
     // index is always found; the coordinator drops it to 0 on quarantine
     // overflow, stopping everyone. Never lowered while a quarantine run
-    // stays within its failure tolerance, so such runs attempt every sample
+    // stays within its failure tolerance, so such runs attempt every unit
     // — the property that makes their outcome independent of the thread
     // count. Relaxed suffices: the cutoff only skips work and publishes no
     // data; results and errors travel through the channel.
     let cutoff = AtomicUsize::new(usize::MAX);
 
-    type Message = (usize, Result<Vec<f64>, CoreError>);
+    type Message = (usize, Result<Vec<Vec<f64>>, CoreError>);
     let (tx, rx) = mpsc::channel::<Message>();
     let (slots, failures, counters) = std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        for (c, block) in samples.chunks(chunk).enumerate() {
+        for (c, block) in samples.chunks(units_per_thread * width).enumerate() {
             let tx = tx.clone();
             let cutoff = &cutoff;
+            let new_worker = &new_worker;
             handles.push(scope.spawn(move || {
-                let mut session = Session::new(Arc::clone(compiled));
-                session.set_warm_start(options.warm_start);
-                for (k, sample) in block.iter().enumerate() {
-                    let i = c * chunk + k;
-                    if i >= cutoff.load(Ordering::Relaxed) {
+                let mut worker = new_worker();
+                for (k, unit) in block.chunks(width).enumerate() {
+                    let u = c * units_per_thread + k;
+                    if u >= cutoff.load(Ordering::Relaxed) {
                         break;
                     }
-                    if !options.warm_start {
-                        session.reset();
-                    }
-                    let result = scenario
-                        .apply_indexed(&mut session, sample, i)
-                        .and_then(|()| scenario.evaluate(&mut session));
+                    let result = worker.run_unit(u * width, unit);
                     let failed = result.is_err();
                     if failed {
                         if max_failures == 0 {
-                            cutoff.fetch_min(i, Ordering::Relaxed);
+                            cutoff.fetch_min(u, Ordering::Relaxed);
                         } else {
-                            // Quarantine: scrub any solver-state
-                            // contamination (NaN-poisoned guesses, degraded
-                            // preconditioners) before the next sample.
-                            session.reset();
+                            worker.scrub();
                         }
                     }
-                    if tx.send((i, result)).is_err() || (failed && max_failures == 0) {
+                    if tx.send((u, result)).is_err() || (failed && max_failures == 0) {
                         break;
                     }
                 }
-                session.counters()
+                worker.counters()
             }));
         }
         drop(tx);
@@ -257,21 +399,27 @@ pub fn run_ensemble<S: Scenario>(
         let mut slots: Vec<Option<Vec<f64>>> = (0..n).map(|_| None).collect();
         let mut failures: Vec<SampleFailure> = Vec::new();
         let mut done = 0usize;
-        for (i, result) in rx {
-            let y = match result {
-                Ok(y) => y,
+        for (u, result) in rx {
+            let first = u * width;
+            match result {
+                Ok(ys) => {
+                    for (slot, y) in slots[first..].iter_mut().zip(ys) {
+                        *slot = Some(y);
+                    }
+                }
                 Err(e) => {
-                    failures.push(SampleFailure {
-                        sample: i,
-                        error: e,
-                    });
+                    for sample in first..(first + width).min(n) {
+                        failures.push(SampleFailure {
+                            sample,
+                            error: e.clone(),
+                        });
+                        slots[sample] = Some(Vec::new());
+                    }
                     if max_failures > 0 && failures.len() > max_failures {
                         cutoff.store(0, Ordering::Relaxed);
                     }
-                    Vec::new()
                 }
-            };
-            slots[i] = Some(y);
+            }
             while done < n && slots[done].is_some() {
                 done += 1;
                 if let Some(progress) = options.progress {
@@ -296,180 +444,6 @@ pub fn run_ensemble<S: Scenario>(
         let abandoned = slots.iter().filter(|s| s.is_none()).count();
         let n_failures = failures.len();
         // Sorted: the lowest-index failure leads.
-        let Some(first) = failures.into_iter().next() else {
-            return Err(CoreError::InvalidModel(
-                "ensemble failure accounting out of sync".into(),
-            ));
-        };
-        return Err(CoreError::EnsembleFailed {
-            sample: first.sample,
-            failures: n_failures,
-            abandoned,
-            source: Box::new(first.error),
-        });
-    }
-
-    let outputs: Vec<Vec<f64>> = slots
-        .into_iter()
-        .map(Option::unwrap_or_default)
-        .collect();
-    let mut merged = SolveCounters::default();
-    for c in &counters {
-        merged.merge(c);
-    }
-    Ok(EnsembleResult {
-        outputs,
-        counters: merged,
-        failures,
-    })
-}
-
-/// [`run_ensemble`] through the batched fast path: samples are grouped
-/// into panels of [`crate::SolverOptions::batch_width`] **globally in
-/// sample order**, each worker drives whole groups through a
-/// [`BatchSession`], and every group advances all its members per matrix
-/// traversal (see [`crate::BatchSession`]).
-///
-/// Grouping is independent of `options.n_threads` and nothing crosses
-/// group boundaries, so the outputs are bit-identical for any worker
-/// count. `options.warm_start` is ignored: every group starts from reset
-/// sessions (cross-sample reuse inside a group happens through the shared
-/// preconditioner instead). A `batch_width` of 0 or 1 falls back to the
-/// scalar [`run_ensemble`] in exact mode.
-///
-/// # Errors
-///
-/// Like [`run_ensemble`], with group granularity: a failing sample fails
-/// its whole group, and under [`FailurePolicy::Quarantine`] all members of
-/// the failing group are quarantined together.
-///
-/// # Panics
-///
-/// Panics if `options.n_threads == 0` or a worker thread panics.
-pub fn run_ensemble_batched<S: BatchScenario>(
-    compiled: &Arc<CompiledModel>,
-    scenario: &S,
-    samples: &[Vec<f64>],
-    options: &EnsembleOptions,
-) -> Result<EnsembleResult, CoreError> {
-    assert!(options.n_threads > 0, "run_ensemble_batched: need ≥ 1 thread");
-    let width = compiled.options().batch_width;
-    if width <= 1 {
-        return run_ensemble(compiled, scenario, samples, options);
-    }
-    let n = samples.len();
-    if n == 0 {
-        return Ok(EnsembleResult {
-            outputs: Vec::new(),
-            counters: SolveCounters::default(),
-            failures: Vec::new(),
-        });
-    }
-    // Global group formation: group g holds samples [g·width, ...), for any
-    // thread count. Workers take contiguous runs of whole groups.
-    let groups: Vec<&[Vec<f64>]> = samples.chunks(width).collect();
-    let n_groups = groups.len();
-    let gchunk = n_groups.div_ceil(options.n_threads).max(1);
-    let max_failures = match options.failure_policy {
-        FailurePolicy::Abort => 0,
-        FailurePolicy::Quarantine { max_failures } => max_failures,
-    };
-    // Group-index cutoff, as in `run_ensemble`.
-    let cutoff = AtomicUsize::new(usize::MAX);
-
-    type Message = (usize, Result<Vec<Vec<f64>>, CoreError>);
-    let (tx, rx) = mpsc::channel::<Message>();
-    let (slots, failures, counters) = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (c, block) in groups.chunks(gchunk).enumerate() {
-            let tx = tx.clone();
-            let cutoff = &cutoff;
-            handles.push(scope.spawn(move || {
-                let mut batch = BatchSession::new(compiled, width);
-                for (gk, group) in block.iter().enumerate() {
-                    let g = c * gchunk + gk;
-                    if g >= cutoff.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    batch.reset();
-                    let k = group.len();
-                    let result: Result<Vec<Vec<f64>>, CoreError> = (|| {
-                        for (j, sample) in group.iter().enumerate() {
-                            scenario.apply_indexed(
-                                &mut batch.sessions_mut()[j],
-                                sample,
-                                g * width + j,
-                            )?;
-                        }
-                        let sols =
-                            batch.run_transient(k, scenario.t_end(), scenario.n_steps())?;
-                        Ok(sols.iter().map(|s| scenario.qoi(s)).collect())
-                    })();
-                    let failed = result.is_err();
-                    if failed {
-                        if max_failures == 0 {
-                            cutoff.fetch_min(g, Ordering::Relaxed);
-                        } else {
-                            // Quarantine: scrub the whole group's state.
-                            batch.reset();
-                        }
-                    }
-                    if tx.send((g, result)).is_err() || (failed && max_failures == 0) {
-                        break;
-                    }
-                }
-                batch.counters()
-            }));
-        }
-        drop(tx);
-
-        let mut slots: Vec<Option<Vec<f64>>> = (0..n).map(|_| None).collect();
-        let mut failures: Vec<SampleFailure> = Vec::new();
-        let mut done = 0usize;
-        for (g, result) in rx {
-            let base = g * width;
-            let k = groups[g].len();
-            match result {
-                Ok(ys) => {
-                    for (j, y) in ys.into_iter().enumerate() {
-                        slots[base + j] = Some(y);
-                    }
-                }
-                Err(e) => {
-                    for j in 0..k {
-                        failures.push(SampleFailure {
-                            sample: base + j,
-                            error: e.clone(),
-                        });
-                        slots[base + j] = Some(Vec::new());
-                    }
-                    if max_failures > 0 && failures.len() > max_failures {
-                        cutoff.store(0, Ordering::Relaxed);
-                    }
-                }
-            }
-            while done < n && slots[done].is_some() {
-                done += 1;
-                if let Some(progress) = options.progress {
-                    progress(done, n);
-                }
-            }
-        }
-        let counters: Vec<SolveCounters> = handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(c) => c,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect();
-        (slots, failures, counters)
-    });
-
-    let mut failures = failures;
-    failures.sort_by_key(|f| f.sample);
-    if failures.len() > max_failures {
-        let abandoned = slots.iter().filter(|s| s.is_none()).count();
-        let n_failures = failures.len();
         let Some(first) = failures.into_iter().next() else {
             return Err(CoreError::InvalidModel(
                 "ensemble failure accounting out of sync".into(),
@@ -814,6 +788,31 @@ mod tests {
             }
             other => panic!("expected EnsembleFailed, got {other}"),
         }
+        // Batched at width 2: group {2, 3} fails as a whole and groups
+        // {4, 5} and {6} are never attempted.
+        let compiled = Arc::new(
+            CompiledModel::compile(wire_model(), pinned_options(2)).unwrap(),
+        );
+        let err = run_ensemble_batched(
+            &compiled,
+            &FailAt(&[2]),
+            &samples(),
+            &EnsembleOptions::default(),
+        )
+        .unwrap_err();
+        match err {
+            CoreError::EnsembleFailed {
+                sample,
+                failures,
+                abandoned,
+                ..
+            } => {
+                assert_eq!(sample, 2);
+                assert_eq!(failures, 2);
+                assert_eq!(abandoned, 3);
+            }
+            other => panic!("expected EnsembleFailed, got {other}"),
+        }
     }
 
     /// The campaign-style options used by the batched tests: pinned outer
@@ -946,28 +945,66 @@ mod tests {
     }
 
     #[test]
+    fn batched_width_one_ignores_warm_start() {
+        let compiled = Arc::new(
+            CompiledModel::compile(wire_model(), pinned_options(1)).unwrap(),
+        );
+        let samples = samples();
+        let exact = run_ensemble(
+            &compiled,
+            &LengthScenario,
+            &samples,
+            &EnsembleOptions::default(),
+        )
+        .unwrap();
+        let batched = run_ensemble_batched(
+            &compiled,
+            &LengthScenario,
+            &samples,
+            &EnsembleOptions {
+                warm_start: true,
+                ..EnsembleOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(batched.outputs, exact.outputs);
+        assert_eq!(batched.counters, exact.counters);
+    }
+
+    #[test]
     fn batched_quarantines_whole_groups() {
         let compiled = Arc::new(
             CompiledModel::compile(wire_model(), pinned_options(2)).unwrap(),
         );
         // Sample 2 fails at apply: its group {2, 3} is quarantined.
         let failing = FailAt(&[2]);
-        let r = run_ensemble_batched(
-            &compiled,
-            &failing,
-            &samples(),
-            &EnsembleOptions {
-                failure_policy: FailurePolicy::Quarantine { max_failures: 2 },
-                ..EnsembleOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            r.failures.iter().map(|f| f.sample).collect::<Vec<_>>(),
-            vec![2, 3]
-        );
-        assert!(r.outputs[2].is_empty() && r.outputs[3].is_empty());
-        assert!(!r.outputs[0].is_empty() && !r.outputs[4].is_empty());
+        let mut reference: Option<EnsembleResult> = None;
+        for threads in [1, 2, 4] {
+            let r = run_ensemble_batched(
+                &compiled,
+                &failing,
+                &samples(),
+                &EnsembleOptions {
+                    n_threads: threads,
+                    failure_policy: FailurePolicy::Quarantine { max_failures: 2 },
+                    ..EnsembleOptions::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                r.failures.iter().map(|f| f.sample).collect::<Vec<_>>(),
+                vec![2, 3]
+            );
+            assert!(r.outputs[2].is_empty() && r.outputs[3].is_empty());
+            assert!(!r.outputs[0].is_empty() && !r.outputs[4].is_empty());
+            if let Some(reference) = &reference {
+                assert_eq!(r.outputs, reference.outputs, "threads = {threads}");
+                assert_eq!(r.failures, reference.failures, "threads = {threads}");
+                assert_eq!(r.counters, reference.counters, "threads = {threads}");
+            } else {
+                reference = Some(r);
+            }
+        }
     }
 
     #[test]
